@@ -40,10 +40,10 @@ core::MemoizedTest<std::string> make_file_test(
         std::vector<toolchain::ObjectFile> objs;
         for (const auto& o : *base_objs) {
           const bool variable_file =
-              std::find(subset.begin(), subset.end(), o.source_file) !=
+              std::find(subset.begin(), subset.end(), o.code->source_file) !=
               subset.end();
           objs.push_back(variable_file
-                             ? build->compile(o.source_file, variable)
+                             ? build->compile(o.code->source_file, variable)
                              : o);
         }
         ++*executions;

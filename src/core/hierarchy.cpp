@@ -224,7 +224,7 @@ void BisectDriver::symbol_phase(FileFinding& finding) {
                                     nullptr) {
     std::vector<toolchain::ObjectFile> objs;
     for (const toolchain::ObjectFile& o : base_objs_) {
-      if (o.source_file != file) objs.push_back(o);
+      if (o.code->source_file != file) objs.push_back(o);
     }
     objs.push_back(a);
     if (b != nullptr) objs.push_back(*b);

@@ -18,9 +18,14 @@ FunctionId CodeModel::add(FunctionInfo info) {
   }
   const auto id = static_cast<FunctionId>(fns_.size());
   by_name_.emplace(info.name, id);
-  auto [it, inserted] = by_file_.try_emplace(info.file);
-  if (inserted) files_.push_back(info.file);
-  it->second.push_back(id);
+  auto [it, inserted] = by_file_.try_emplace(
+      info.file, static_cast<std::uint32_t>(files_.size()));
+  if (inserted) {
+    files_.push_back(info.file);
+    file_fns_.emplace_back();
+  }
+  file_fns_[it->second].push_back(id);
+  file_index_.push_back(it->second);
   fns_.push_back(std::move(info));
   return id;
 }
@@ -44,7 +49,7 @@ std::optional<FunctionId> CodeModel::find(std::string_view name) const {
 std::vector<FunctionId> CodeModel::functions_in(std::string_view file) const {
   auto it = by_file_.find(std::string(file));
   if (it == by_file_.end()) return {};
-  return it->second;
+  return file_fns_[it->second];
 }
 
 std::vector<std::string> CodeModel::exported_symbols_of(

@@ -72,6 +72,11 @@ class CodeModel {
     return files_;
   }
 
+  /// Position of `info(id).file` in files().
+  [[nodiscard]] std::size_t file_index(FunctionId id) const {
+    return file_index_.at(id);
+  }
+
   /// All functions defined in `file` (exported and internal).
   [[nodiscard]] std::vector<FunctionId> functions_in(
       std::string_view file) const;
@@ -94,7 +99,9 @@ class CodeModel {
   std::vector<FunctionInfo> fns_;
   std::unordered_map<std::string, FunctionId> by_name_;
   std::vector<std::string> files_;
-  std::unordered_map<std::string, std::vector<FunctionId>> by_file_;
+  std::vector<std::vector<FunctionId>> file_fns_;  ///< parallel to files_
+  std::vector<std::uint32_t> file_index_;  ///< per function, into files_
+  std::unordered_map<std::string, std::uint32_t> by_file_;
 };
 
 /// The process-wide model that statically-registered application kernels

@@ -1,5 +1,6 @@
 #include "toolchain/build.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "core/faults.h"
@@ -9,6 +10,15 @@ namespace flit::toolchain {
 
 ObjectFile BuildSystem::compile(const std::string& file, const Compilation& c,
                                 bool fpic, bool injected) const {
+  return compile_with(file, c, fpic, injected,
+                      cache_ == nullptr
+                          ? CompilationCache::Fingerprints{}
+                          : CompilationCache::fingerprints(c, fpic));
+}
+
+ObjectFile BuildSystem::compile_with(
+    const std::string& file, const Compilation& c, bool fpic, bool injected,
+    const CompilationCache::Fingerprints& fp) const {
   // The fault check precedes the cache lookup on purpose: an injected
   // compiler crash must not depend on whether a semantically equivalent
   // object happens to be cached (cache state varies with scheduling; the
@@ -19,43 +29,57 @@ ObjectFile BuildSystem::compile(const std::string& file, const Compilation& c,
         file + "|" + c.str() + (fpic ? "|fpic" : "") +
             (injected ? "|injected" : ""));
   }
-  if (cache_ == nullptr) return compile_uncached(file, c, fpic, injected);
-  return cache_->get_or_build(file, c, fpic, injected, [&] {
-    return compile_uncached(file, c, fpic, injected);
+  if (cache_ == nullptr) {
+    return ObjectFile{compile_code(file, c, fpic, injected), c};
+  }
+  return cache_->get_or_build(file, c, fp, injected, [&] {
+    return compile_code(file, c, fpic, injected);
   });
 }
 
-ObjectFile BuildSystem::compile_uncached(const std::string& file,
-                                         const Compilation& c, bool fpic,
-                                         bool injected) const {
+std::shared_ptr<const ObjectCode> BuildSystem::compile_code(
+    const std::string& file, const Compilation& c, bool fpic,
+    bool injected) const {
   const auto fns = model_->functions_in(file);
   if (fns.empty()) {
     throw std::invalid_argument("unknown source file: " + file);
   }
-  ObjectFile obj;
-  obj.source_file = file;
-  obj.comp = c;
-  obj.fpic = fpic;
-  obj.injected = injected;
+  auto code = std::make_shared<ObjectCode>();
+  code->source_file = file;
+  code->fpic = fpic;
+  code->injected = injected;
+  code->bindings.reserve(fns.size());
   for (fpsem::FunctionId id : fns) {
     const fpsem::FunctionInfo& fi = model_->info(id);
-    obj.bindings.emplace(id, derive_binding(c, fi, fpic));
+    code->bindings.push_back({id, derive_binding(c, fi, fpic)});
     if (fi.exported) {
-      obj.symbols.push_back(SymbolDef{fi.name, id, /*strong=*/true});
+      code->symbols.push_back(SymbolDef{fi.name, id, /*strong=*/true});
     } else {
-      obj.internal_fns.push_back(id);
+      // Only an exported host can win a symbol; the linker places an
+      // internal function with any other host by its file alone.
+      const std::optional<fpsem::FunctionId> host =
+          model_->find(fi.host_symbol);
+      code->internal_fns.push_back(
+          {id, host.has_value() && model_->info(*host).exported
+                   ? *host
+                   : fpsem::kInvalidFunction});
     }
   }
-  return obj;
+  return code;
 }
 
 std::vector<ObjectFile> BuildSystem::compile_all(const Compilation& c,
                                                  bool fpic,
                                                  bool injected) const {
+  // One fingerprint derivation per build, not one per file: every file of
+  // the build shares the compilation.
+  const CompilationCache::Fingerprints fp =
+      cache_ == nullptr ? CompilationCache::Fingerprints{}
+                        : CompilationCache::fingerprints(c, fpic);
   std::vector<ObjectFile> out;
   out.reserve(model_->files().size());
   for (const std::string& f : model_->files()) {
-    out.push_back(compile(f, c, fpic, injected));
+    out.push_back(compile_with(f, c, fpic, injected, fp));
   }
   return out;
 }

@@ -4,6 +4,7 @@
 // files under a compilation triple, and provides the convenience "compile
 // everything" entry the FLiT runner and Bisect drivers use.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,8 @@ class BuildSystem {
                                    const Compilation& c, bool fpic = false,
                                    bool injected = false) const;
 
-  /// Compiles every file of the model under `c`.
+  /// Compiles every file of the model under `c`.  Equivalent to compile()
+  /// per file, in files() order, but derives the cache fingerprints once.
   [[nodiscard]] std::vector<ObjectFile> compile_all(
       const Compilation& c, bool fpic = false, bool injected = false) const;
 
@@ -40,9 +42,15 @@ class BuildSystem {
   [[nodiscard]] CompilationCache* cache() const { return cache_; }
 
  private:
-  [[nodiscard]] ObjectFile compile_uncached(const std::string& file,
-                                            const Compilation& c, bool fpic,
-                                            bool injected) const;
+  /// compile() with the cache fingerprints of (c, fpic) already derived
+  /// (unused without a cache).
+  [[nodiscard]] ObjectFile compile_with(
+      const std::string& file, const Compilation& c, bool fpic, bool injected,
+      const CompilationCache::Fingerprints& fp) const;
+
+  [[nodiscard]] std::shared_ptr<const ObjectCode> compile_code(
+      const std::string& file, const Compilation& c, bool fpic,
+      bool injected) const;
 
   const fpsem::CodeModel* model_;
   CompilationCache* cache_;

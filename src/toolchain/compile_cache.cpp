@@ -1,6 +1,7 @@
 #include "toolchain/compile_cache.h"
 
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 #include "obs/session.h"
@@ -24,13 +25,14 @@ obs::Counter& evicted_counter() {
 std::uint64_t approx_object_bytes(const ObjectFile& obj) {
   // Deterministic content-derived footprint: fixed per-record charges plus
   // the variable-length payloads.  The constants approximate the in-memory
-  // cost of each record (object + hash-map overhead) without depending on
-  // allocator or padding details.
-  std::uint64_t b = 64 + obj.source_file.size() + obj.comp.flag.size() +
+  // cost of each record (object + binding-table overhead) without depending
+  // on allocator or padding details.
+  const ObjectCode& code = *obj.code;
+  std::uint64_t b = 64 + code.source_file.size() + obj.comp.flag.size() +
                     obj.comp.compiler.name.size();
-  for (const SymbolDef& s : obj.symbols) b += 48 + s.name.size();
-  b += 8 * obj.internal_fns.size();
-  b += 96 * obj.bindings.size();
+  for (const SymbolDef& s : code.symbols) b += 48 + s.name.size();
+  b += 8 * code.internal_fns.size();
+  b += 96 * code.bindings.size();
   return b;
 }
 
@@ -57,52 +59,58 @@ std::uint64_t CompilationCache::fingerprint(const Compilation& c, bool fpic) {
   return stable_hash(material);
 }
 
-ObjectFile CompilationCache::get_or_build(
-    const std::string& file, const Compilation& c, bool fpic, bool injected,
-    const std::function<ObjectFile()>& build) {
-  // Fleet-wide counters: every cache instance (one per shard in the
-  // distributed engine) feeds the same registry, so the global totals are
-  // the sum the aggregate report prints.  Handles are stable across
-  // MetricsRegistry::reset(), so resolving them once is safe.
-  static obs::Counter& obs_hits = obs::metrics().counter("cache.hits");
-  static obs::Counter& obs_misses = obs::metrics().counter("cache.misses");
-
-  const Key key{file, fingerprint(c, fpic), fpic, injected};
+CompilationCache::Fingerprints CompilationCache::fingerprints(
+    const Compilation& c, bool fpic) {
   const std::uint64_t group = semantics_group(c);
-  {
-    std::lock_guard lock(mu_);
-    if (auto it = entries_.find(key); it != entries_.end()) {
-      ++stats_.hits;
-      obs_hits.add();
-      touch_group_locked(group);
-      ObjectFile obj = it->second.obj;
-      obj.comp = c;  // the hazard predicates hash the raw triple
-      return obj;
-    }
-  }
-  // Build outside the lock: compilations are the expensive part and two
-  // threads racing to build the same key is rarer than serializing every
-  // builder behind one mutex.
-  ObjectFile built = build();
+  return {fpic ? fingerprint(c, true) : group, group, fpic};
+}
+
+// Fleet-wide counters: every cache instance (one per shard in the
+// distributed engine) feeds the same registry, so the global totals are
+// the sum the aggregate report prints.  Handles are stable across
+// MetricsRegistry::reset(), so resolving them once is safe.
+std::optional<ObjectFile> CompilationCache::lookup(const std::string& file,
+                                                   const Compilation& c,
+                                                   const Fingerprints& fp,
+                                                   bool injected) {
+  static obs::Counter& obs_hits = obs::metrics().counter("cache.hits");
+  std::lock_guard lock(mu_);
+  const auto it =
+      entries_.find(KeyRef(file, fp.fingerprint, fp.fpic, injected));
+  if (it == entries_.end()) return std::nullopt;
+  ++stats_.hits;
+  obs_hits.add();
+  touch_group_locked(fp.group);
+  // The hazard predicates hash the raw triple, so the handle carries the
+  // requested one rather than the inserting build's.
+  return ObjectFile{it->second.code, c};
+}
+
+ObjectFile CompilationCache::insert(const std::string& file,
+                                    const Compilation& c,
+                                    const Fingerprints& fp, bool injected,
+                                    std::shared_ptr<const ObjectCode> code) {
+  static obs::Counter& obs_misses = obs::metrics().counter("cache.misses");
+  ObjectFile built{std::move(code), c};
   std::lock_guard lock(mu_);
   ++stats_.misses;
   obs_misses.add();
-  auto [it, inserted] = entries_.try_emplace(key, Entry{built, group, 0});
-  if (inserted) {
-    const std::uint64_t bytes = approx_object_bytes(built);
-    it->second.bytes = bytes;
-    stats_.inserted_bytes += bytes;
-    resident_bytes_ += bytes;
-    touch_group_locked(group);
-    groups_[group].keys.push_back(key);
-    groups_[group].bytes += bytes;
-    evict_to_budget_locked();
-    return built;
+  Key key{file, fp.fingerprint, fp.fpic, injected};
+  auto [it, inserted] =
+      entries_.try_emplace(key, Entry{built.code, fp.group, 0});
+  touch_group_locked(fp.group);
+  if (!inserted) {
+    return ObjectFile{it->second.code, c};  // another thread won the race
   }
-  touch_group_locked(group);
-  ObjectFile obj = it->second.obj;  // another thread won the race
-  obj.comp = c;
-  return obj;
+  const std::uint64_t bytes = approx_object_bytes(built);
+  it->second.bytes = bytes;
+  stats_.inserted_bytes += bytes;
+  resident_bytes_ += bytes;
+  GroupInfo& g = groups_[fp.group];
+  g.keys.push_back(std::move(key));
+  g.bytes += bytes;
+  evict_to_budget_locked();
+  return built;
 }
 
 CompilationCache::Stats CompilationCache::stats() const {
@@ -177,8 +185,10 @@ void CompilationCache::evict_to_budget_locked() {
   }
 }
 
-std::size_t CompilationCache::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = stable_hash(k.file);
+std::size_t CompilationCache::KeyHash::operator()(const KeyRef& k) const {
+  // In-process bucket placement only (entries are never iterated in hash
+  // order), so the library's word-at-a-time string hash serves.
+  std::uint64_t h = std::hash<std::string_view>{}(k.file);
   h ^= k.fingerprint + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   h ^= (static_cast<std::uint64_t>(k.fpic) << 1 |
         static_cast<std::uint64_t>(k.injected)) +

@@ -11,10 +11,14 @@
 // derive_semantics(c) and derive_cost(c) (plus, for -fPIC objects, the
 // canonical compilation string, because the -fPIC inlining-loss predicate
 // is seeded by it).  Two compilations with equal fingerprints produce
-// byte-for-byte identical bindings, so a hit only has to restamp the
-// requested Compilation onto the cached object -- the raw `comp` field
-// still matters downstream (ABI-hazard predicates hash it), which is why
-// the Compilation itself cannot be the key *or* be cached.
+// byte-for-byte identical code, so the cache stores one immutable, shared
+// ObjectCode per key and a hit returns a new handle to it carrying the
+// *requested* Compilation -- no code is copied.  The raw `comp` still
+// matters downstream (ABI-hazard predicates hash it), which is why the
+// Compilation itself cannot be the key *or* be cached; it lives in the
+// per-handle ObjectFile instead.  Shared code is never mutated: objcopy
+// copies before rewriting (objcopy.h), and a handle keeps its code alive
+// after the entry is evicted or the cache cleared.
 //
 // The cache is shared across threads of the parallel study engine and
 // across serial Bisect drivers (which relink far more often than they need
@@ -33,11 +37,12 @@
 // can never alter study results.
 
 #include <cstdint>
-#include <functional>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -109,12 +114,36 @@ class CompilationCache {
     friend bool operator==(const Stats&, const Stats&) = default;
   };
 
+  /// What a lookup derives from its compilation: the semantics
+  /// fingerprint for the fpic mode and the semantics group.  A build of
+  /// every file under one compilation derives it once and reuses it for
+  /// each file (see BuildSystem::compile_all).
+  struct Fingerprints {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t group = 0;
+    bool fpic = false;
+  };
+  [[nodiscard]] static Fingerprints fingerprints(const Compilation& c,
+                                                 bool fpic);
+
   /// Returns the object for (file, c, fpic, injected), invoking `build`
-  /// only when no semantically-equivalent compilation of the file is
-  /// cached.  The returned object always carries `c` as its compilation.
-  [[nodiscard]] ObjectFile get_or_build(
-      const std::string& file, const Compilation& c, bool fpic, bool injected,
-      const std::function<ObjectFile()>& build);
+  /// (which returns the file's compiled code under `c`) only when no
+  /// semantically-equivalent compilation of the file is cached.  `fp` must
+  /// be fingerprints(c, fpic).  The returned handle always carries `c` as
+  /// its compilation.
+  template <class Build>
+  [[nodiscard]] ObjectFile get_or_build(const std::string& file,
+                                        const Compilation& c,
+                                        const Fingerprints& fp, bool injected,
+                                        Build&& build) {
+    if (std::optional<ObjectFile> hit = lookup(file, c, fp, injected)) {
+      return *std::move(hit);
+    }
+    // Build outside the lock: compilations are the expensive part and two
+    // threads racing to build the same key is rarer than serializing every
+    // builder behind one mutex.
+    return insert(file, c, fp, injected, build());
+  }
 
   [[nodiscard]] Stats stats() const;
   void clear();
@@ -154,15 +183,33 @@ class CompilationCache {
     std::uint64_t fingerprint = 0;
     bool fpic = false;
     bool injected = false;
+  };
+  /// A lookup's key, borrowing the file name.
+  struct KeyRef {
+    std::string_view file;
+    std::uint64_t fingerprint = 0;
+    bool fpic = false;
+    bool injected = false;
 
-    friend bool operator==(const Key&, const Key&) = default;
+    KeyRef(std::string_view f, std::uint64_t fp, bool pic, bool inj)
+        : file(f), fingerprint(fp), fpic(pic), injected(inj) {}
+    KeyRef(const Key& k)  // implicit: stored keys compare as lookups
+        : KeyRef(k.file, k.fingerprint, k.fpic, k.injected) {}
   };
   struct KeyHash {
-    std::size_t operator()(const Key& k) const;
+    using is_transparent = void;
+    std::size_t operator()(const KeyRef& k) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const KeyRef& a, const KeyRef& b) const {
+      return a.fingerprint == b.fingerprint && a.fpic == b.fpic &&
+             a.injected == b.injected && a.file == b.file;
+    }
   };
 
   struct Entry {
-    ObjectFile obj;
+    std::shared_ptr<const ObjectCode> code;
     std::uint64_t group = 0;  ///< semantics_group of the inserted comp
     std::uint64_t bytes = 0;  ///< approx_object_bytes at insertion
   };
@@ -175,6 +222,21 @@ class CompilationCache {
     std::uint64_t bytes = 0;
   };
 
+  /// The hit half of get_or_build: a handle to the cached code, counted
+  /// as a hit, or nullopt (counted by the insert that follows).
+  [[nodiscard]] std::optional<ObjectFile> lookup(const std::string& file,
+                                                 const Compilation& c,
+                                                 const Fingerprints& fp,
+                                                 bool injected);
+
+  /// The miss half of get_or_build: caches `code` unless another thread
+  /// won the race to insert the key, and returns a handle to the cached
+  /// code.
+  [[nodiscard]] ObjectFile insert(const std::string& file,
+                                  const Compilation& c,
+                                  const Fingerprints& fp, bool injected,
+                                  std::shared_ptr<const ObjectCode> code);
+
   /// Moves `group` to most-recently-used (creating it if new); caller
   /// holds mu_.
   void touch_group_locked(std::uint64_t group);
@@ -184,7 +246,7 @@ class CompilationCache {
   void evict_to_budget_locked();
 
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::unordered_map<Key, Entry, KeyHash, KeyEq> entries_;
   Stats stats_;
 
   std::optional<std::uint64_t> budget_;

@@ -268,8 +268,14 @@ std::uint64_t stable_hash(const std::string& s) {
 }
 
 bool abi_toxic(const std::string& file, const Compilation& c) {
+  return c.compiler.family == CompilerFamily::Intel &&
+         abi_toxic(file, c, c.str());
+}
+
+bool abi_toxic(const std::string& file, const Compilation& c,
+               const std::string& rendered) {
   if (c.compiler.family != CompilerFamily::Intel) return false;
-  return stable_hash("abi:" + file + ":" + c.str()) % 1000 < 16;  // 1.6%
+  return stable_hash("abi:" + file + ":" + rendered) % 1000 < 16;  // 1.6%
 }
 
 namespace {

@@ -62,6 +62,11 @@ fpsem::FnBinding derive_binding(const Compilation& c,
 /// into a mixed binary crashes it at run time (Table 2 failures).
 bool abi_toxic(const std::string& file, const Compilation& c);
 
+/// abi_toxic(file, c) with `rendered` == c.str() supplied by the caller, so
+/// a scan over many objects of one compilation renders it once.
+bool abi_toxic(const std::string& file, const Compilation& c,
+               const std::string& rendered);
+
 /// Deterministic predicate: does linking two differently-compiled copies
 /// of `file` (the Symbol Bisect strong/weak trick) produce a crashing
 /// executable?  Symmetric in (a, b).

@@ -1,5 +1,7 @@
 // CodeModel: registration rules, file/function queries, symbol coverage.
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "fpsem/code_model.h"
@@ -33,6 +35,19 @@ TEST(CodeModel, FilesInRegistrationOrder) {
   ASSERT_EQ(m.files().size(), 2u);
   EXPECT_EQ(m.files()[0], "a.cpp");
   EXPECT_EQ(m.files()[1], "b.cpp");
+}
+
+TEST(CodeModel, FileIndexPointsIntoFiles) {
+  CodeModel m = make_model();
+  // A file registered again after another keeps its first position.
+  const FunctionId late = m.add({.name = "a::late", .file = "a.cpp"});
+  for (FunctionId id = 0; id < m.function_count(); ++id) {
+    EXPECT_EQ(m.files().at(m.file_index(id)), m.info(id).file)
+        << m.info(id).name;
+  }
+  EXPECT_EQ(m.file_index(late), 0u);
+  EXPECT_EQ(m.functions_in("a.cpp").back(), late);
+  EXPECT_THROW((void)m.file_index(m.function_count()), std::out_of_range);
 }
 
 TEST(CodeModel, FunctionsInFile) {

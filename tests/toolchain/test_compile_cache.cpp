@@ -1,13 +1,21 @@
 // The shared compilation cache: fingerprint collapse of semantically
 // equivalent triples, byte-identical bindings on hits, hit/miss
-// accounting, and key separation for -fPIC and injected builds.
+// accounting, key separation for -fPIC and injected builds, shared code
+// behind per-handle compilations, and compile fault decisions that do not
+// depend on the cache.
+
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/faults.h"
 #include "fpsem/code_model.h"
 #include "toolchain/build.h"
 #include "toolchain/compile_cache.h"
 #include "toolchain/compiler.h"
+#include "toolchain/linker.h"
+#include "toolchain/objcopy.h"
 #include "toolchain/semantics_rules.h"
 
 namespace {
@@ -32,7 +40,7 @@ CodeModel make_model() {
 Compilation o1_plain() { return {gcc(), OptLevel::O1, ""}; }
 Compilation o1_inert() { return {gcc(), OptLevel::O1, "-fassociative-math"}; }
 
-void expect_same_object(const ObjectFile& a, const ObjectFile& b) {
+void expect_same_code(const ObjectCode& a, const ObjectCode& b) {
   EXPECT_EQ(a.source_file, b.source_file);
   EXPECT_EQ(a.fpic, b.fpic);
   EXPECT_EQ(a.injected, b.injected);
@@ -44,6 +52,11 @@ void expect_same_object(const ObjectFile& a, const ObjectFile& b) {
     EXPECT_EQ(a.symbols[i].fn, b.symbols[i].fn);
     EXPECT_EQ(a.symbols[i].strong, b.symbols[i].strong);
   }
+}
+
+void expect_same_object(const ObjectFile& a, const ObjectFile& b) {
+  EXPECT_EQ(a.comp, b.comp);
+  expect_same_code(*a.code, *b.code);
 }
 
 TEST(CompilationCache, FingerprintCollapsesSemanticallyEquivalentTriples) {
@@ -84,6 +97,100 @@ TEST(CompilationCache, HitReturnsTheSameObjectWithTheRequestedTriple) {
   EXPECT_EQ(first.comp, o1_plain());
 }
 
+TEST(CompilationCache, HitsShareOneCodeEachWithItsOwnCompilation) {
+  CodeModel m = make_model();
+  CompilationCache cache;
+  BuildSystem build(&m, &cache);
+
+  const ObjectFile miss = build.compile("cc/a.cpp", o1_plain());
+  const ObjectFile hit = build.compile("cc/a.cpp", o1_plain());
+  const ObjectFile equivalent = build.compile("cc/a.cpp", o1_inert());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // No copy of the code: every handle points at the cached ObjectCode...
+  EXPECT_EQ(hit.code.get(), miss.code.get());
+  EXPECT_EQ(equivalent.code.get(), miss.code.get());
+  // ...and each carries the triple it was requested under.
+  EXPECT_EQ(miss.comp, o1_plain());
+  EXPECT_EQ(hit.comp, o1_plain());
+  EXPECT_EQ(equivalent.comp, o1_inert());
+
+  // A -fPIC build of the same file is different code.
+  EXPECT_NE(build.compile("cc/a.cpp", o1_plain(), /*fpic=*/true).code.get(),
+            miss.code.get());
+}
+
+TEST(CompilationCache, ObjcopyNeverRewritesSharedCode) {
+  CodeModel m = make_model();
+  CompilationCache cache;
+  BuildSystem build(&m, &cache);
+  BuildSystem uncached(&m);
+  const auto all_strong = [](const ObjectFile& o) {
+    for (const SymbolDef& s : o.code->symbols) {
+      if (!s.strong) return false;
+    }
+    return true;
+  };
+
+  const ObjectFile a = build.compile("cc/a.cpp", o1_plain());
+  const ObjectFile b = build.compile("cc/a.cpp", o1_inert());
+  ASSERT_EQ(a.code.get(), b.code.get());
+  const ObjectFile weak = objcopy_weaken(a, {"cc::f"});
+  const ObjectFile complement = objcopy_weaken_complement(b, {"cc::f"});
+
+  // The rewrites got private code with the requested strengths...
+  EXPECT_NE(weak.code.get(), a.code.get());
+  EXPECT_NE(complement.code.get(), a.code.get());
+  EXPECT_EQ(weak.comp, o1_plain());
+  EXPECT_EQ(complement.comp, o1_inert());
+  for (const SymbolDef& s : weak.code->symbols) {
+    EXPECT_EQ(s.strong, s.name != "cc::f");
+  }
+  for (const SymbolDef& s : complement.code->symbols) {
+    EXPECT_EQ(s.strong, s.name == "cc::f");
+  }
+  // ...while both holders of the shared code, and the cache entry a new
+  // lookup returns, still define every symbol strong.
+  EXPECT_TRUE(all_strong(a));
+  EXPECT_TRUE(all_strong(b));
+  const ObjectFile again = build.compile("cc/a.cpp", o1_plain());
+  EXPECT_EQ(again.code.get(), a.code.get());
+  EXPECT_TRUE(all_strong(again));
+  expect_same_object(again, uncached.compile("cc/a.cpp", o1_plain()));
+}
+
+TEST(CompilationCache, HandlesOutliveEvictionAndClear) {
+  CodeModel m = make_model();
+  BuildSystem uncached(&m);
+  Linker linker(&m);
+  for (const bool by_clear : {false, true}) {
+    CompilationCache cache;
+    BuildSystem build(&m, &cache);
+    const std::vector<ObjectFile> objs = build.compile_all(o1_plain());
+    ASSERT_EQ(cache.resident_entries(), m.files().size());
+    if (by_clear) {
+      cache.clear();
+    } else {
+      cache.set_budget(0);  // evicts every group
+    }
+    ASSERT_EQ(cache.resident_entries(), 0u);
+
+    // The handles still own their code: it reads and links as before.
+    const std::vector<ObjectFile> fresh = uncached.compile_all(o1_plain());
+    ASSERT_EQ(objs.size(), fresh.size());
+    for (std::size_t i = 0; i < objs.size(); ++i) {
+      expect_same_object(objs[i], fresh[i]);
+    }
+    EXPECT_EQ(linker.link(objs, gcc()).map, linker.link(fresh, gcc()).map);
+
+    // A rebuild after eviction is new code with the same contents.
+    const ObjectFile rebuilt = build.compile("cc/a.cpp", o1_plain());
+    EXPECT_NE(rebuilt.code.get(), objs[0].code.get());
+    expect_same_object(rebuilt, objs[0]);
+  }
+}
+
 TEST(CompilationCache, CompileCountsDropAcrossRepeatedBuilds) {
   CodeModel m = make_model();
   CompilationCache cache;
@@ -113,10 +220,10 @@ TEST(CompilationCache, FpicAndInjectedAreSeparateEntries) {
                                       /*injected=*/true);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_FALSE(plain.fpic);
-  EXPECT_TRUE(fpic.fpic);
-  EXPECT_TRUE(injected.injected);
-  EXPECT_FALSE(plain.injected);
+  EXPECT_FALSE(plain.code->fpic);
+  EXPECT_TRUE(fpic.code->fpic);
+  EXPECT_TRUE(injected.code->injected);
+  EXPECT_FALSE(plain.code->injected);
 }
 
 TEST(CompilationCache, CachedObjectsEqualUncachedAcrossTheStudySpace) {
@@ -144,6 +251,66 @@ TEST(CompilationCache, StudySpaceHitRateExceedsHalf) {
     (void)build.compile_all(c);
   }
   EXPECT_GT(cache.stats().hit_rate(), 0.5);
+}
+
+/// A model with enough files that an armed compile site fails some whole
+/// builds and spares others.
+CodeModel make_wide_model() {
+  CodeModel m;
+  for (int i = 0; i < 12; ++i) {
+    const std::string file = "w/f" + std::to_string(i) + ".cpp";
+    m.add({.name = "w::f" + std::to_string(i), .file = file});
+  }
+  return m;
+}
+
+/// The message of the first per-file compile of `c` the armed injector
+/// fails, or nullopt when every file compiles.
+std::optional<std::string> first_compile_fault(const BuildSystem& build,
+                                               const Compilation& c) {
+  for (const std::string& f : build.model().files()) {
+    try {
+      (void)build.compile(f, c);
+    } catch (const flit::core::InjectedFault& e) {
+      return std::string(e.what());
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(CompilationCache, CompileAllMakesThePerFileFaultDecisions) {
+  // compile_all derives the fingerprint once per build, but the compile
+  // fault site must still be consulted before every per-file lookup, so a
+  // warm cache cannot hide an injected compiler crash.
+  CodeModel m = make_wide_model();
+  CompilationCache cache;
+  BuildSystem cached(&m, &cache);
+  BuildSystem uncached(&m);
+  const auto space = mfem_study_space();
+  for (const Compilation& c : space) (void)cached.compile_all(c);  // warm
+
+  auto& faults = flit::core::FaultInjector::global();
+  faults.configure("compile:0.1:5");
+  std::size_t failed = 0;
+  for (const Compilation& c : space) {
+    const std::optional<std::string> expected =
+        first_compile_fault(uncached, c);
+    ASSERT_EQ(first_compile_fault(cached, c), expected) << c.str();
+    for (const BuildSystem* build : {&cached, &uncached}) {
+      try {
+        (void)build->compile_all(c);
+        EXPECT_FALSE(expected.has_value()) << c.str();
+      } catch (const flit::core::InjectedFault& e) {
+        ASSERT_TRUE(expected.has_value()) << c.str();
+        EXPECT_EQ(e.what(), *expected) << c.str();
+      }
+    }
+    if (expected.has_value()) ++failed;
+  }
+  faults.disarm();
+  // The rate spares some builds and fails others.
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, space.size());
 }
 
 TEST(CacheStats, MergeSumsTalliesAndPreservesTheHitRateInvariant) {

@@ -82,6 +82,97 @@ TEST(Linker, TwoStrongCopiesOfAFileClash) {
       LinkError);
 }
 
+TEST(Linker, DuplicateStrongErrorNamesTheSymbol) {
+  CodeModel m = make_model();
+  BuildSystem build(&m);
+  Linker linker(&m);
+  std::vector<ObjectFile> objs = build.compile_all(base_comp());
+  objs.push_back(objcopy_weaken(build.compile("alpha.cpp", var_comp()),
+                                {"alpha::f"}));
+  try {
+    (void)linker.link(objs, gcc());
+    FAIL() << "two strong alpha::g definitions linked";
+  } catch (const LinkError& e) {
+    EXPECT_EQ(e.kind(), LinkError::Kind::DuplicateStrong);
+    EXPECT_STREQ(e.what(), "duplicate strong symbol alpha::g");
+  }
+}
+
+TEST(Linker, ExportedFunctionAddedAfterTheBuildIsUnresolved) {
+  CodeModel m = make_model();
+  BuildSystem build(&m);
+  Linker linker(&m);
+  const auto objs = build.compile_all(base_comp());
+  // Every file is still covered, but no object defines the new symbol.
+  m.add({.name = "alpha::late", .file = "alpha.cpp"});
+  try {
+    (void)linker.link(objs, gcc());
+    FAIL() << "a symbol no object defines was resolved";
+  } catch (const LinkError& e) {
+    EXPECT_EQ(e.kind(), LinkError::Kind::Unresolved);
+    EXPECT_STREQ(e.what(), "unresolved symbol alpha::late");
+  }
+}
+
+TEST(Linker, InternalFunctionAddedAfterTheBuildIsNotLinked) {
+  CodeModel m = make_model();
+  BuildSystem build(&m);
+  Linker linker(&m);
+  const auto objs = build.compile_all(base_comp());
+  m.add({.name = "alpha::late_hidden",
+         .file = "alpha.cpp",
+         .exported = false,
+         .host_symbol = "alpha::f"});
+  try {
+    (void)linker.link(objs, gcc());
+    FAIL() << "an internal function no object carries was bound";
+  } catch (const LinkError& e) {
+    EXPECT_EQ(e.kind(), LinkError::Kind::Unresolved);
+    EXPECT_STREQ(e.what(), "internal function alpha::late_hidden not linked");
+  }
+}
+
+TEST(Linker, WeakThenStrongResolvesLikeStrongThenWeak) {
+  CodeModel m = make_model();
+  BuildSystem build(&m);
+  Linker linker(&m);
+  const ObjectFile beta = build.compile("beta.cpp", base_comp());
+  // Every alpha symbol weak in the variable copy, strong in the baseline
+  // copy: the strong definitions win whichever copy is linked first.
+  const ObjectFile weak = objcopy_weaken(
+      build.compile("alpha.cpp", var_comp()), {"alpha::f", "alpha::g"});
+  const ObjectFile strong = build.compile("alpha.cpp", base_comp());
+  const std::vector<ObjectFile> weak_first{weak, strong, beta};
+  const std::vector<ObjectFile> strong_first{strong, weak, beta};
+  const Executable a = linker.link(weak_first, gcc());
+  const Executable b = linker.link(strong_first, gcc());
+  for (FunctionId id = 0; id < m.function_count(); ++id) {
+    EXPECT_EQ(a.map.binding(id), b.map.binding(id)) << m.info(id).name;
+    EXPECT_EQ(a.map.binding(id).sem, derive_semantics(base_comp()))
+        << m.info(id).name;
+  }
+  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.crash_reason, b.crash_reason);
+
+  // A split choice (alpha::f from the variable copy, alpha::g and its
+  // internal alpha::hidden from the baseline copy) is order-free too.
+  const ObjectFile var_f = objcopy_weaken_complement(
+      build.compile("alpha.cpp", var_comp()), {"alpha::f"});
+  const ObjectFile base_g =
+      objcopy_weaken(build.compile("alpha.cpp", base_comp()), {"alpha::f"});
+  const std::vector<ObjectFile> var_first{var_f, base_g, beta};
+  const std::vector<ObjectFile> base_first{base_g, var_f, beta};
+  const Executable c = linker.link(var_first, gcc());
+  const Executable d = linker.link(base_first, gcc());
+  for (FunctionId id = 0; id < m.function_count(); ++id) {
+    EXPECT_EQ(c.map.binding(id), d.map.binding(id)) << m.info(id).name;
+  }
+  EXPECT_EQ(c.map.binding(*m.find("alpha::f")).sem,
+            derive_semantics(var_comp()));
+  EXPECT_EQ(c.map.binding(*m.find("alpha::hidden")).sem,
+            derive_semantics(base_comp()));
+}
+
 TEST(Linker, StrongBeatsWeak) {
   CodeModel m = make_model();
   BuildSystem build(&m);
@@ -158,10 +249,10 @@ TEST(Objcopy, WeakenAndComplementArePartitions) {
   const ObjectFile obj = build.compile("alpha.cpp", base_comp());
   const auto weak_f = objcopy_weaken(obj, {"alpha::f"});
   const auto strong_f = objcopy_weaken_complement(obj, {"alpha::f"});
-  for (const SymbolDef& s : weak_f.symbols) {
+  for (const SymbolDef& s : weak_f.code->symbols) {
     EXPECT_EQ(s.strong, s.name != "alpha::f");
   }
-  for (const SymbolDef& s : strong_f.symbols) {
+  for (const SymbolDef& s : strong_f.code->symbols) {
     EXPECT_EQ(s.strong, s.name == "alpha::f");
   }
 }
@@ -171,7 +262,7 @@ TEST(Objcopy, UnknownSymbolNamesAreIgnored) {
   BuildSystem build(&m);
   const ObjectFile obj = build.compile("alpha.cpp", base_comp());
   const auto same = objcopy_weaken(obj, {"no::such::symbol"});
-  for (const SymbolDef& s : same.symbols) EXPECT_TRUE(s.strong);
+  for (const SymbolDef& s : same.code->symbols) EXPECT_TRUE(s.strong);
 }
 
 TEST(Hazards, ToxicIntelObjectCrashesMixedBinaries) {
@@ -228,10 +319,10 @@ TEST(BuildSystem, CompileAllCoversEveryFileOnce) {
   BuildSystem build(&m);
   const auto objs = build.compile_all(base_comp());
   ASSERT_EQ(objs.size(), 2u);
-  EXPECT_EQ(objs[0].source_file, "alpha.cpp");
-  EXPECT_EQ(objs[1].source_file, "beta.cpp");
-  EXPECT_EQ(objs[0].symbols.size(), 2u);       // exported only
-  EXPECT_EQ(objs[0].internal_fns.size(), 1u);  // alpha::hidden
+  EXPECT_EQ(objs[0].code->source_file, "alpha.cpp");
+  EXPECT_EQ(objs[1].code->source_file, "beta.cpp");
+  EXPECT_EQ(objs[0].code->symbols.size(), 2u);       // exported only
+  EXPECT_EQ(objs[0].code->internal_fns.size(), 1u);  // alpha::hidden
 }
 
 }  // namespace

@@ -97,9 +97,8 @@ TEST(LinkerProperty, AllWeakTakesTheFirstDefinitionInLinkOrder) {
   m.add({.name = "w::f", .file = "w/a.cpp"});
   BuildSystem build(&m);
   Linker linker(&m);
-  const auto weaken_all = [](ObjectFile o) {
-    for (auto& s : o.symbols) s.strong = false;
-    return o;
+  const auto weaken_all = [](const ObjectFile& o) {
+    return objcopy_weaken(o, {"w::f"});
   };
   ObjectFile first = weaken_all(build.compile("w/a.cpp", variant()));
   ObjectFile second = weaken_all(build.compile("w/a.cpp", base()));
