@@ -41,15 +41,23 @@ FunctionId CodeModel::ensure(FunctionInfo info) {
 }
 
 std::optional<FunctionId> CodeModel::find(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   if (it == by_name_.end()) return std::nullopt;
   return it->second;
 }
 
-std::vector<FunctionId> CodeModel::functions_in(std::string_view file) const {
-  auto it = by_file_.find(std::string(file));
-  if (it == by_file_.end()) return {};
-  return file_fns_[it->second];
+std::optional<std::size_t> CodeModel::file_position(
+    std::string_view file) const {
+  auto it = by_file_.find(file);
+  if (it == by_file_.end()) return std::nullopt;
+  return it->second;
+}
+
+const std::vector<FunctionId>& CodeModel::functions_in(
+    std::string_view file) const {
+  static const std::vector<FunctionId> kNone;
+  const std::optional<std::size_t> pos = file_position(file);
+  return pos.has_value() ? file_fns_[*pos] : kNone;
 }
 
 std::vector<std::string> CodeModel::exported_symbols_of(

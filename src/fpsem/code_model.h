@@ -7,6 +7,7 @@
 // symbol).  FLiT Bisect searches over exactly this structure.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -77,9 +78,21 @@ class CodeModel {
     return file_index_.at(id);
   }
 
-  /// All functions defined in `file` (exported and internal).
-  [[nodiscard]] std::vector<FunctionId> functions_in(
+  /// Position of `file` in files(), or nullopt for a file with no
+  /// registered function.
+  [[nodiscard]] std::optional<std::size_t> file_position(
       std::string_view file) const;
+
+  /// All functions defined in `file` (exported and internal), in
+  /// registration order; empty for an unknown file.
+  [[nodiscard]] const std::vector<FunctionId>& functions_in(
+      std::string_view file) const;
+
+  /// functions_in(files()[position]).
+  [[nodiscard]] const std::vector<FunctionId>& functions_at(
+      std::size_t position) const {
+    return file_fns_.at(position);
+  }
 
   /// Exported symbol names defined in `file` -- the Symbol Bisect search
   /// space for that file.
@@ -96,12 +109,23 @@ class CodeModel {
   [[nodiscard]] double average_functions_per_file() const;
 
  private:
+  /// Lets the name and file maps be probed with a string_view.
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <class V>
+  using StringMap =
+      std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
   std::vector<FunctionInfo> fns_;
-  std::unordered_map<std::string, FunctionId> by_name_;
+  StringMap<FunctionId> by_name_;
   std::vector<std::string> files_;
   std::vector<std::vector<FunctionId>> file_fns_;  ///< parallel to files_
   std::vector<std::uint32_t> file_index_;  ///< per function, into files_
-  std::unordered_map<std::string, std::uint32_t> by_file_;
+  StringMap<std::uint32_t> by_file_;
 };
 
 /// The process-wide model that statically-registered application kernels

@@ -8,44 +8,73 @@
 
 namespace flit::toolchain {
 
-ObjectFile BuildSystem::compile(const std::string& file, const Compilation& c,
-                                bool fpic, bool injected) const {
-  return compile_with(file, c, fpic, injected,
-                      cache_ == nullptr
-                          ? CompilationCache::Fingerprints{}
-                          : CompilationCache::fingerprints(c, fpic));
+namespace {
+
+/// The fault checks precede the cache lookup on purpose: an injected
+/// compiler crash must not depend on whether a semantically equivalent
+/// object happens to be cached (cache state varies with scheduling; the
+/// fault decision must not).
+void check_compile_faults(std::span<const std::string> files,
+                          const Compilation& c, bool fpic, bool injected) {
+  core::FaultInjector& faults = core::FaultInjector::global();
+  if (!faults.any_armed()) return;
+  const std::string suffix = "|" + c.str() + (fpic ? "|fpic" : "") +
+                             (injected ? "|injected" : "");
+  for (const std::string& f : files) {
+    faults.maybe_fail(core::FaultSite::Compile, f + suffix);
+  }
 }
 
-ObjectFile BuildSystem::compile_with(
-    const std::string& file, const Compilation& c, bool fpic, bool injected,
-    const CompilationCache::Fingerprints& fp) const {
-  // The fault check precedes the cache lookup on purpose: an injected
-  // compiler crash must not depend on whether a semantically equivalent
-  // object happens to be cached (cache state varies with scheduling; the
-  // fault decision must not).
-  if (core::FaultInjector::global().any_armed()) {
-    core::FaultInjector::global().maybe_fail(
-        core::FaultSite::Compile,
-        file + "|" + c.str() + (fpic ? "|fpic" : "") +
-            (injected ? "|injected" : ""));
+}  // namespace
+
+ObjectFile BuildSystem::compile(const std::string& file, const Compilation& c,
+                                bool fpic, bool injected) const {
+  check_compile_faults(std::span(&file, 1), c, fpic, injected);
+  const std::optional<std::size_t> pos = model_->file_position(file);
+  if (!pos.has_value()) {
+    throw std::invalid_argument("unknown source file: " + file);
   }
+  ObjectFile out;
+  compile_range(*pos, std::span(&out, 1), c, fpic, injected);
+  return out;
+}
+
+std::vector<ObjectFile> BuildSystem::compile_all(const Compilation& c,
+                                                 bool fpic,
+                                                 bool injected) const {
+  const std::vector<std::string>& files = model_->files();
+  check_compile_faults(files, c, fpic, injected);
+  std::vector<ObjectFile> out(files.size());
+  compile_range(0, out, c, fpic, injected);
+  return out;
+}
+
+void BuildSystem::compile_range(std::size_t first, std::span<ObjectFile> out,
+                                const Compilation& c, bool fpic,
+                                bool injected) const {
+  const auto build = [&](std::size_t pos) {
+    return compile_code(pos, c, fpic, injected);
+  };
   if (cache_ == nullptr) {
-    return ObjectFile{compile_code(file, c, fpic, injected), c};
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      out[k] = ObjectFile{build(first + k), c};
+    }
+    return;
   }
-  return cache_->get_or_build(file, c, fp, injected, [&] {
-    return compile_code(file, c, fpic, injected);
-  });
+  // One fingerprint derivation per build, not one per file: every file of
+  // the build shares the compilation.
+  cache_->get_or_build(*model_, first, out, c,
+                       CompilationCache::fingerprints(c, fpic), injected,
+                       build);
 }
 
 std::shared_ptr<const ObjectCode> BuildSystem::compile_code(
-    const std::string& file, const Compilation& c, bool fpic,
+    std::size_t file_position, const Compilation& c, bool fpic,
     bool injected) const {
-  const auto fns = model_->functions_in(file);
-  if (fns.empty()) {
-    throw std::invalid_argument("unknown source file: " + file);
-  }
+  const std::vector<fpsem::FunctionId>& fns =
+      model_->functions_at(file_position);
   auto code = std::make_shared<ObjectCode>();
-  code->source_file = file;
+  code->source_file = model_->files()[file_position];
   code->fpic = fpic;
   code->injected = injected;
   code->bindings.reserve(fns.size());
@@ -66,22 +95,6 @@ std::shared_ptr<const ObjectCode> BuildSystem::compile_code(
     }
   }
   return code;
-}
-
-std::vector<ObjectFile> BuildSystem::compile_all(const Compilation& c,
-                                                 bool fpic,
-                                                 bool injected) const {
-  // One fingerprint derivation per build, not one per file: every file of
-  // the build shares the compilation.
-  const CompilationCache::Fingerprints fp =
-      cache_ == nullptr ? CompilationCache::Fingerprints{}
-                        : CompilationCache::fingerprints(c, fpic);
-  std::vector<ObjectFile> out;
-  out.reserve(model_->files().size());
-  for (const std::string& f : model_->files()) {
-    out.push_back(compile_with(f, c, fpic, injected, fp));
-  }
-  return out;
 }
 
 }  // namespace flit::toolchain

@@ -5,6 +5,7 @@
 // everything" entry the FLiT runner and Bisect drivers use.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,9 +18,9 @@ namespace flit::toolchain {
 class BuildSystem {
  public:
   /// `cache`, when non-null, memoizes per-file objects across semantically
-  /// equivalent compilations; it may be shared with other BuildSystems and
-  /// with other threads (CompilationCache is thread-safe).  The cache must
-  /// outlive this BuildSystem.
+  /// equivalent compilations; it may be shared with other BuildSystems of
+  /// the same model and with other threads (CompilationCache is
+  /// thread-safe).  The cache must outlive this BuildSystem.
   explicit BuildSystem(const fpsem::CodeModel* model,
                        CompilationCache* cache = nullptr)
       : model_(model), cache_(cache) {}
@@ -32,7 +33,9 @@ class BuildSystem {
                                    bool injected = false) const;
 
   /// Compiles every file of the model under `c`.  Equivalent to compile()
-  /// per file, in files() order, but derives the cache fingerprints once.
+  /// per file, in files() order -- the compile fault site is consulted for
+  /// every file, in that order, before the cache is -- but derives the
+  /// cache fingerprints once and probes the cache as one batch.
   [[nodiscard]] std::vector<ObjectFile> compile_all(
       const Compilation& c, bool fpic = false, bool injected = false) const;
 
@@ -42,14 +45,13 @@ class BuildSystem {
   [[nodiscard]] CompilationCache* cache() const { return cache_; }
 
  private:
-  /// compile() with the cache fingerprints of (c, fpic) already derived
-  /// (unused without a cache).
-  [[nodiscard]] ObjectFile compile_with(
-      const std::string& file, const Compilation& c, bool fpic, bool injected,
-      const CompilationCache::Fingerprints& fp) const;
+  /// Fills out[k] with the object of the file at position first + k,
+  /// through the cache when there is one.
+  void compile_range(std::size_t first, std::span<ObjectFile> out,
+                     const Compilation& c, bool fpic, bool injected) const;
 
   [[nodiscard]] std::shared_ptr<const ObjectCode> compile_code(
-      const std::string& file, const Compilation& c, bool fpic,
+      std::size_t file_position, const Compilation& c, bool fpic,
       bool injected) const;
 
   const fpsem::CodeModel* model_;

@@ -1,7 +1,8 @@
 #include "toolchain/compile_cache.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/session.h"
@@ -22,14 +23,12 @@ obs::Counter& evicted_counter() {
 
 }  // namespace
 
-std::uint64_t approx_object_bytes(const ObjectFile& obj) {
+std::uint64_t approx_object_bytes(const ObjectCode& code) {
   // Deterministic content-derived footprint: fixed per-record charges plus
   // the variable-length payloads.  The constants approximate the in-memory
   // cost of each record (object + binding-table overhead) without depending
   // on allocator or padding details.
-  const ObjectCode& code = *obj.code;
-  std::uint64_t b = 64 + code.source_file.size() + obj.comp.flag.size() +
-                    obj.comp.compiler.name.size();
+  std::uint64_t b = 64 + code.source_file.size();
   for (const SymbolDef& s : code.symbols) b += 48 + s.name.size();
   b += 8 * code.internal_fns.size();
   b += 96 * code.bindings.size();
@@ -69,48 +68,76 @@ CompilationCache::Fingerprints CompilationCache::fingerprints(
 // distributed engine) feeds the same registry, so the global totals are
 // the sum the aggregate report prints.  Handles are stable across
 // MetricsRegistry::reset(), so resolving them once is safe.
-std::optional<ObjectFile> CompilationCache::lookup(const std::string& file,
-                                                   const Compilation& c,
-                                                   const Fingerprints& fp,
-                                                   bool injected) {
+std::vector<std::size_t> CompilationCache::lookup(const fpsem::CodeModel& model,
+                                                  std::size_t first,
+                                                  std::span<ObjectFile> out,
+                                                  const Fingerprints& fp,
+                                                  bool injected) {
   static obs::Counter& obs_hits = obs::metrics().counter("cache.hits");
+  std::vector<std::size_t> missing;
   std::lock_guard lock(mu_);
-  const auto it =
-      entries_.find(KeyRef(file, fp.fingerprint, fp.fpic, injected));
-  if (it == entries_.end()) return std::nullopt;
-  ++stats_.hits;
-  obs_hits.add();
-  touch_group_locked(fp.group);
-  // The hazard predicates hash the raw triple, so the handle carries the
-  // requested one rather than the inserting build's.
-  return ObjectFile{it->second.code, c};
+  if (model_ == nullptr) {
+    model_ = &model;
+  } else if (model_ != &model) {
+    throw std::logic_error(
+        "CompilationCache: file positions are per model, and this cache is "
+        "bound to another CodeModel");
+  }
+  const auto it = slabs_.find({fp.fingerprint, fp.fpic, injected});
+  const std::size_t cached = it == slabs_.end() ? 0 : it->second.size();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const std::size_t pos = first + k;
+    if (pos < cached && it->second[pos].code != nullptr) {
+      out[k].code = it->second[pos].code;
+    } else {
+      missing.push_back(k);
+    }
+  }
+  const std::size_t hits = out.size() - missing.size();
+  if (hits > 0) {
+    stats_.hits += hits;
+    obs_hits.add(hits);
+    touch_group_locked(fp.group);
+  }
+  return missing;
 }
 
-ObjectFile CompilationCache::insert(const std::string& file,
-                                    const Compilation& c,
-                                    const Fingerprints& fp, bool injected,
-                                    std::shared_ptr<const ObjectCode> code) {
+void CompilationCache::insert(const fpsem::CodeModel& model,
+                              std::size_t first, std::span<ObjectFile> out,
+                              std::span<const std::size_t> missing,
+                              const Fingerprints& fp, bool injected) {
   static obs::Counter& obs_misses = obs::metrics().counter("cache.misses");
-  ObjectFile built{std::move(code), c};
-  std::lock_guard lock(mu_);
-  ++stats_.misses;
-  obs_misses.add();
-  Key key{file, fp.fingerprint, fp.fpic, injected};
-  auto [it, inserted] =
-      entries_.try_emplace(key, Entry{built.code, fp.group, 0});
-  touch_group_locked(fp.group);
-  if (!inserted) {
-    return ObjectFile{it->second.code, c};  // another thread won the race
+  std::vector<std::uint64_t> bytes(missing.size());
+  for (std::size_t j = 0; j < missing.size(); ++j) {
+    bytes[j] = approx_object_bytes(*out[missing[j]].code);
   }
-  const std::uint64_t bytes = approx_object_bytes(built);
-  it->second.bytes = bytes;
-  stats_.inserted_bytes += bytes;
-  resident_bytes_ += bytes;
-  GroupInfo& g = groups_[fp.group];
-  g.keys.push_back(std::move(key));
-  g.bytes += bytes;
+  // Race losers' code, released after the lock is.
+  std::vector<std::shared_ptr<const ObjectCode>> losers;
+  std::lock_guard lock(mu_);
+  stats_.misses += missing.size();
+  obs_misses.add(missing.size());
+  GroupInfo& group = touch_group_locked(fp.group);
+  const auto [it, made] =
+      slabs_.try_emplace(SlabKey{fp.fingerprint, fp.fpic, injected});
+  Slab& slab = it->second;
+  if (made) group.slabs.push_back(it->first);
+  const std::size_t need = first + missing.back() + 1;
+  if (slab.size() < need) slab.resize(std::max(need, model.files().size()));
+  std::uint64_t added = 0;
+  for (std::size_t j = 0; j < missing.size(); ++j) {
+    ObjectFile& built = out[missing[j]];
+    Slot& slot = slab[first + missing[j]];
+    if (slot.code != nullptr) {  // another thread won the race
+      losers.push_back(std::exchange(built.code, slot.code));
+      continue;
+    }
+    slot = Slot{built.code, bytes[j]};
+    added += bytes[j];
+    ++resident_entries_;
+  }
+  stats_.inserted_bytes += added;
+  resident_bytes_ += added;
   evict_to_budget_locked();
-  return built;
 }
 
 CompilationCache::Stats CompilationCache::stats() const {
@@ -120,11 +147,13 @@ CompilationCache::Stats CompilationCache::stats() const {
 
 void CompilationCache::clear() {
   std::lock_guard lock(mu_);
-  evicted_counter().add(entries_.size());
-  entries_.clear();
+  evicted_counter().add(resident_entries_);
+  slabs_.clear();
   groups_.clear();
   lru_.clear();
   resident_bytes_ = 0;
+  resident_entries_ = 0;
+  model_ = nullptr;
   stats_ = Stats{};  // a clear resets the tallies too (a fresh cache)
 }
 
@@ -146,20 +175,19 @@ std::uint64_t CompilationCache::resident_bytes() const {
 
 std::size_t CompilationCache::resident_entries() const {
   std::lock_guard lock(mu_);
-  return entries_.size();
+  return resident_entries_;
 }
 
-void CompilationCache::touch_group_locked(std::uint64_t group) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) {
+CompilationCache::GroupInfo& CompilationCache::touch_group_locked(
+    std::uint64_t group) {
+  auto [it, made] = groups_.try_emplace(group);
+  if (made) {
     lru_.push_back(group);
-    GroupInfo info;
-    info.lru_pos = std::prev(lru_.end());
-    groups_.emplace(group, std::move(info));
-    return;
+  } else {
+    lru_.splice(lru_.end(), lru_, it->second.lru_pos);
   }
-  lru_.splice(lru_.end(), lru_, it->second.lru_pos);
   it->second.lru_pos = std::prev(lru_.end());
+  return it->second;
 }
 
 void CompilationCache::evict_to_budget_locked() {
@@ -169,31 +197,25 @@ void CompilationCache::evict_to_budget_locked() {
   // zero-budget configuration retains nothing) -- correctness never
   // depends on residency, only hit rates do.
   while (resident_bytes_ > *budget_ && !lru_.empty()) {
-    const std::uint64_t victim = lru_.front();
-    auto git = groups_.find(victim);
-    for (const Key& key : git->second.keys) {
-      auto it = entries_.find(key);
-      if (it == entries_.end()) continue;
-      ++stats_.evictions;
-      evicted_counter().add();
-      stats_.evicted_bytes += it->second.bytes;
-      resident_bytes_ -= it->second.bytes;
-      entries_.erase(it);
+    const auto git = groups_.find(lru_.front());
+    std::uint64_t evicted = 0;
+    for (const SlabKey& key : git->second.slabs) {
+      const auto it = slabs_.find(key);
+      if (it == slabs_.end()) continue;
+      for (const Slot& slot : it->second) {
+        if (slot.code == nullptr) continue;
+        ++evicted;
+        stats_.evicted_bytes += slot.bytes;
+        resident_bytes_ -= slot.bytes;
+      }
+      slabs_.erase(it);
     }
+    stats_.evictions += evicted;
+    resident_entries_ -= evicted;
+    evicted_counter().add(evicted);
     lru_.pop_front();
     groups_.erase(git);
   }
-}
-
-std::size_t CompilationCache::KeyHash::operator()(const KeyRef& k) const {
-  // In-process bucket placement only (entries are never iterated in hash
-  // order), so the library's word-at-a-time string hash serves.
-  std::uint64_t h = std::hash<std::string_view>{}(k.file);
-  h ^= k.fingerprint + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= (static_cast<std::uint64_t>(k.fpic) << 1 |
-        static_cast<std::uint64_t>(k.injected)) +
-       0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return static_cast<std::size_t>(h);
 }
 
 }  // namespace flit::toolchain

@@ -12,13 +12,22 @@
 // canonical compilation string, because the -fPIC inlining-loss predicate
 // is seeded by it).  Two compilations with equal fingerprints produce
 // byte-for-byte identical code, so the cache stores one immutable, shared
-// ObjectCode per key and a hit returns a new handle to it carrying the
-// *requested* Compilation -- no code is copied.  The raw `comp` still
-// matters downstream (ABI-hazard predicates hash it), which is why the
-// Compilation itself cannot be the key *or* be cached; it lives in the
-// per-handle ObjectFile instead.  Shared code is never mutated: objcopy
-// copies before rewriting (objcopy.h), and a handle keeps its code alive
-// after the entry is evicted or the cache cleared.
+// ObjectCode per (file, fingerprint, fpic, injected) and a hit returns a
+// new handle to it carrying the *requested* Compilation -- no code is
+// copied.  The raw `comp` still matters downstream (ABI-hazard predicates
+// hash it), which is why the Compilation itself cannot be the key *or* be
+// cached; it lives in the per-handle ObjectFile instead.  Shared code is
+// never mutated: objcopy copies before rewriting (objcopy.h), and a handle
+// keeps its code alive after its slot is evicted or the cache cleared.
+//
+// Storage is one *slab* per (fingerprint, fpic, injected): a vector of
+// slots indexed by the file's position in CodeModel::files().  A build
+// hashes its slab key once, not its file names once per file, and takes
+// the lock twice per batch of files (one probe, one insert of the
+// misses), not once per file.  Positions are only meaningful within one
+// model, so the cache binds to the CodeModel of its first lookup and
+// rejects any other (std::logic_error).  A model may still grow: a file
+// registered after a slab was made simply misses at its new position.
 //
 // The cache is shared across threads of the parallel study engine and
 // across serial Bisect drivers (which relink far more often than they need
@@ -27,12 +36,13 @@
 // Bounded memory: set_budget(bytes) caps the cache's resident footprint
 // for long-lived deployments (the study service shares one cache across
 // every tenant).  Eviction is LRU over *semantics-fingerprint groups*: all
-// entries whose compilation collapses onto one non-fPIC fingerprint --
-// the affinity placement's co-location unit -- age together, so evicting
+// slabs whose compilation collapses onto one non-fPIC fingerprint -- the
+// affinity placement's co-location unit -- age together, so evicting
 // reclaims a whole group's objects at once and a half-resident group never
 // lingers (a study that needs one member of a group almost always needs
-// them all).  Eviction only ever changes wall-clock and hit/miss tallies:
-// a rebuilt entry is byte-identical to the evicted one (fingerprint
+// them all).  Evictions and evicted bytes are still counted per occupied
+// slot.  Eviction only ever changes wall-clock and hit/miss tallies: a
+// rebuilt object is byte-identical to the evicted one (fingerprint
 // equality implies binding equality), so cached -- or evicted -- contents
 // can never alter study results.
 
@@ -41,20 +51,21 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <string_view>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "fpsem/code_model.h"
 #include "toolchain/object.h"
 
 namespace flit::toolchain {
 
 /// Deterministic approximation of an object's resident footprint, the
-/// unit of the cache budget.  A pure function of the object's contents
-/// (never of allocator or padding details), so budget-driven eviction
-/// decisions are reproducible across runs and platforms.
-[[nodiscard]] std::uint64_t approx_object_bytes(const ObjectFile& obj);
+/// unit of the cache budget.  A pure function of the shared code (never of
+/// the triple a handle was requested under, nor of allocator or padding
+/// details), so the resident footprint depends only on which slots are
+/// filled, not on which equivalent triple filled them first.
+[[nodiscard]] std::uint64_t approx_object_bytes(const ObjectCode& code);
 
 class CompilationCache {
  public:
@@ -126,31 +137,39 @@ class CompilationCache {
   [[nodiscard]] static Fingerprints fingerprints(const Compilation& c,
                                                  bool fpic);
 
-  /// Returns the object for (file, c, fpic, injected), invoking `build`
-  /// (which returns the file's compiled code under `c`) only when no
-  /// semantically-equivalent compilation of the file is cached.  `fp` must
-  /// be fingerprints(c, fpic).  The returned handle always carries `c` as
-  /// its compilation.
+  /// Fills out[k] with the object for (model.files()[first + k], c, fpic,
+  /// injected), invoking `build(position)` (which returns the code of the
+  /// file at that position of `model` under `c`) only for files with no
+  /// semantically-equivalent compilation cached.  `fp` must be
+  /// fingerprints(c, fpic).  Every returned handle carries `c` as its
+  /// compilation.  Throws std::logic_error when `model` is not the model
+  /// this cache is bound to.
   template <class Build>
-  [[nodiscard]] ObjectFile get_or_build(const std::string& file,
-                                        const Compilation& c,
-                                        const Fingerprints& fp, bool injected,
-                                        Build&& build) {
-    if (std::optional<ObjectFile> hit = lookup(file, c, fp, injected)) {
-      return *std::move(hit);
-    }
+  void get_or_build(const fpsem::CodeModel& model, std::size_t first,
+                    std::span<ObjectFile> out, const Compilation& c,
+                    const Fingerprints& fp, bool injected, Build&& build) {
+    const std::vector<std::size_t> missing =
+        lookup(model, first, out, fp, injected);
+    // The hazard predicates hash the raw triple, so every handle carries
+    // the requested one rather than the inserting build's.
+    for (ObjectFile& o : out) o.comp = c;
+    if (missing.empty()) return;
     // Build outside the lock: compilations are the expensive part and two
-    // threads racing to build the same key is rarer than serializing every
-    // builder behind one mutex.
-    return insert(file, c, fp, injected, build());
+    // threads racing to build the same slot is rarer than serializing
+    // every builder behind one mutex.
+    for (std::size_t k : missing) out[k].code = build(first + k);
+    insert(model, first, out, missing, fp, injected);
   }
 
   [[nodiscard]] Stats stats() const;
+
+  /// Drops every entry and resets the tallies and the model binding, as
+  /// if the cache were new.
   void clear();
 
   /// Caps the resident footprint at `bytes` of approx_object_bytes,
-  /// evicting least-recently-used fingerprint groups immediately and on
-  /// every subsequent insertion.  A budget of 0 retains nothing (every
+  /// evicting least-recently-used fingerprint groups immediately and after
+  /// every subsequent batch of insertions.  A budget of 0 retains nothing (every
   /// lookup misses -- the cold-cache floor the study service's
   /// `--cache-budget 0` configuration measures against); nullopt (the
   /// default) restores the historical unbounded behavior.
@@ -178,75 +197,67 @@ class CompilationCache {
   }
 
  private:
-  struct Key {
-    std::string file;
-    std::uint64_t fingerprint = 0;
-    bool fpic = false;
-    bool injected = false;
-  };
-  /// A lookup's key, borrowing the file name.
-  struct KeyRef {
-    std::string_view file;
+  struct SlabKey {
     std::uint64_t fingerprint = 0;
     bool fpic = false;
     bool injected = false;
 
-    KeyRef(std::string_view f, std::uint64_t fp, bool pic, bool inj)
-        : file(f), fingerprint(fp), fpic(pic), injected(inj) {}
-    KeyRef(const Key& k)  // implicit: stored keys compare as lookups
-        : KeyRef(k.file, k.fingerprint, k.fpic, k.injected) {}
+    friend bool operator==(const SlabKey&, const SlabKey&) = default;
   };
-  struct KeyHash {
-    using is_transparent = void;
-    std::size_t operator()(const KeyRef& k) const;
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const KeyRef& a, const KeyRef& b) const {
-      return a.fingerprint == b.fingerprint && a.fpic == b.fpic &&
-             a.injected == b.injected && a.file == b.file;
+  struct SlabKeyHash {
+    std::size_t operator()(const SlabKey& k) const {
+      // The fingerprint is already a well-mixed hash.
+      return static_cast<std::size_t>(
+          k.fingerprint ^ (std::uint64_t{k.fpic} << 1 | k.injected));
     }
   };
 
-  struct Entry {
-    std::shared_ptr<const ObjectCode> code;
-    std::uint64_t group = 0;  ///< semantics_group of the inserted comp
-    std::uint64_t bytes = 0;  ///< approx_object_bytes at insertion
+  struct Slot {
+    std::shared_ptr<const ObjectCode> code;  ///< null = not resident
+    std::uint64_t bytes = 0;                 ///< approx_object_bytes(*code)
   };
 
-  /// One LRU unit: the keys and footprint of a semantics-fingerprint
-  /// group, plus its position in the recency list.
+  /// Every cached file of one (fingerprint, fpic, injected), indexed by
+  /// file position; shorter than files() when the model grew after the
+  /// slab was made.
+  using Slab = std::vector<Slot>;
+
+  /// One LRU unit: the slabs of a semantics-fingerprint group, plus its
+  /// position in the recency list.
   struct GroupInfo {
     std::list<std::uint64_t>::iterator lru_pos;
-    std::vector<Key> keys;
-    std::uint64_t bytes = 0;
+    std::vector<SlabKey> slabs;
   };
 
-  /// The hit half of get_or_build: a handle to the cached code, counted
-  /// as a hit, or nullopt (counted by the insert that follows).
-  [[nodiscard]] std::optional<ObjectFile> lookup(const std::string& file,
-                                                 const Compilation& c,
-                                                 const Fingerprints& fp,
-                                                 bool injected);
+  /// The probe half of get_or_build: sets out[k].code for every cached
+  /// file (counted as hits) and returns the k of the rest (counted by the
+  /// insert that follows).  Binds the cache to `model` on first use.
+  [[nodiscard]] std::vector<std::size_t> lookup(const fpsem::CodeModel& model,
+                                                std::size_t first,
+                                                std::span<ObjectFile> out,
+                                                const Fingerprints& fp,
+                                                bool injected);
 
-  /// The miss half of get_or_build: caches `code` unless another thread
-  /// won the race to insert the key, and returns a handle to the cached
-  /// code.
-  [[nodiscard]] ObjectFile insert(const std::string& file,
-                                  const Compilation& c,
-                                  const Fingerprints& fp, bool injected,
-                                  std::shared_ptr<const ObjectCode> code);
+  /// The miss half of get_or_build: caches the built out[k].code of every
+  /// k in `missing` (ascending), unless another thread won the race to
+  /// fill that slot, in which case out[k] is repointed at the winner's
+  /// code.  Evicts to the budget once for the whole batch.
+  void insert(const fpsem::CodeModel& model, std::size_t first,
+              std::span<ObjectFile> out, std::span<const std::size_t> missing,
+              const Fingerprints& fp, bool injected);
 
   /// Moves `group` to most-recently-used (creating it if new); caller
   /// holds mu_.
-  void touch_group_locked(std::uint64_t group);
+  GroupInfo& touch_group_locked(std::uint64_t group);
 
   /// Evicts least-recently-used groups until the resident footprint fits
   /// the budget; caller holds mu_.
   void evict_to_budget_locked();
 
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash, KeyEq> entries_;
+  const fpsem::CodeModel* model_ = nullptr;  ///< bound by the first lookup
+  std::unordered_map<SlabKey, Slab, SlabKeyHash> slabs_;
+  std::size_t resident_entries_ = 0;  ///< occupied slots over all slabs
   Stats stats_;
 
   std::optional<std::uint64_t> budget_;

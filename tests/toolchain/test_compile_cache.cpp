@@ -1,11 +1,16 @@
 // The shared compilation cache: fingerprint collapse of semantically
 // equivalent triples, byte-identical bindings on hits, hit/miss
 // accounting, key separation for -fPIC and injected builds, shared code
-// behind per-handle compilations, and compile fault decisions that do not
-// depend on the cache.
+// behind per-handle compilations, compile fault decisions that do not
+// depend on the cache, and the file-position slabs (concurrent batches,
+// a growing model, one model per cache).
 
+#include <latch>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -473,10 +478,10 @@ TEST(CompilationCache, ApproxObjectBytesIsContentDerived) {
   CodeModel m = make_model();
   BuildSystem build(&m);
   const ObjectFile a = build.compile("cc/a.cpp", o1_plain());
-  EXPECT_GT(approx_object_bytes(a), 0u);
+  EXPECT_GT(approx_object_bytes(*a.code), 0u);
   // Pure function of the contents: equal objects, equal footprint.
-  EXPECT_EQ(approx_object_bytes(a),
-            approx_object_bytes(build.compile("cc/a.cpp", o1_plain())));
+  EXPECT_EQ(approx_object_bytes(*a.code),
+            approx_object_bytes(*build.compile("cc/a.cpp", o1_plain()).code));
 }
 
 TEST(CompilationCache, ClearResetsEntriesAndCounters) {
@@ -489,6 +494,127 @@ TEST(CompilationCache, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(cache.stats().lookups(), 0u);
   (void)build.compile_all(o1_plain());
   EXPECT_EQ(cache.stats().misses, m.files().size());
+}
+
+TEST(CompilationCache, ResidentBytesIgnoreWhichEquivalentTripleFilledASlot) {
+  // Equal-fingerprint triples of different spelling share every slot, so
+  // the footprint must not depend on which of them missed first -- nor on
+  // the order the slots were filled in.
+  CodeModel m = make_wide_model();
+  const std::vector<std::string>& files = m.files();
+  CompilationCache forward;
+  CompilationCache backward;
+  {
+    BuildSystem build(&m, &forward);
+    for (const std::string& f : files) (void)build.compile(f, o1_plain());
+    for (const std::string& f : files) (void)build.compile(f, o1_inert());
+  }
+  {
+    BuildSystem build(&m, &backward);
+    for (auto f = files.rbegin(); f != files.rend(); ++f) {
+      (void)build.compile(*f, o1_inert());
+    }
+    for (auto f = files.rbegin(); f != files.rend(); ++f) {
+      (void)build.compile(*f, o1_plain());
+    }
+  }
+  EXPECT_EQ(forward.stats().misses, files.size());
+  EXPECT_EQ(backward.stats().misses, files.size());
+  EXPECT_EQ(forward.resident_bytes(), backward.resident_bytes());
+  EXPECT_EQ(forward.stats().inserted_bytes, backward.stats().inserted_bytes);
+
+  std::uint64_t expected = 0;
+  for (const ObjectFile& o : BuildSystem(&m).compile_all(o1_plain())) {
+    expected += approx_object_bytes(*o.code);
+  }
+  EXPECT_EQ(forward.resident_bytes(), expected);
+}
+
+TEST(CompilationCache, ConcurrentBatchesShareOneCodePerFile) {
+  // Four threads build the same compilation at once: whoever loses a race
+  // to fill a slot must come back with the winner's code, so every handle
+  // of a file shares one ObjectCode and the cache holds one per file.
+  constexpr std::size_t kThreads = 4;
+  CodeModel m = make_wide_model();
+  const std::size_t files = m.files().size();
+  CompilationCache cache;
+  const BuildSystem build(&m, &cache);
+  std::vector<std::vector<ObjectFile>> objs(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      objs[t] = build.compile_all(o1_plain());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const std::vector<ObjectFile> fresh = BuildSystem(&m).compile_all(o1_plain());
+  for (std::size_t i = 0; i < files; ++i) {
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(objs[t].size(), files);
+      EXPECT_EQ(objs[t][i].code.get(), objs[0][i].code.get()) << i;
+    }
+    expect_same_object(objs[0][i], fresh[i]);
+  }
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits + s.misses, kThreads * files);
+  EXPECT_EQ(cache.resident_entries(), files);
+  EXPECT_EQ(build.compile_all(o1_plain())[files - 1].code.get(),
+            objs[0][files - 1].code.get());
+}
+
+TEST(CompilationCache, FileAddedAfterItsSlabExistsIsCachedAtItsPosition) {
+  CodeModel m = make_model();
+  CompilationCache cache;
+  const BuildSystem build(&m, &cache);
+  const std::vector<ObjectFile> before = build.compile_all(o1_plain());
+  ASSERT_EQ(before.size(), 2u);
+
+  m.add({.name = "cc::late", .file = "cc/c.cpp"});
+  const std::vector<ObjectFile> grown = build.compile_all(o1_inert());
+  ASSERT_EQ(grown.size(), 3u);
+  EXPECT_EQ(cache.stats().hits, 2u);  // the earlier positions still hit
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(grown[0].code.get(), before[0].code.get());
+  EXPECT_EQ(grown[1].code.get(), before[1].code.get());
+  expect_same_object(grown[2], BuildSystem(&m).compile("cc/c.cpp", o1_inert()));
+
+  // The new position is cached: a third build is all hits.
+  const ObjectFile late = build.compile("cc/c.cpp", o1_plain());
+  EXPECT_EQ(late.code.get(), grown[2].code.get());
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.resident_entries(), 3u);
+}
+
+TEST(CompilationCache, IsBoundToTheModelOfItsFirstBuild) {
+  // Slots are indexed by file position, which means nothing in another
+  // model: a second model is rejected rather than served the first one's
+  // code.
+  CodeModel first = make_model();
+  CodeModel second = make_wide_model();
+  CompilationCache cache;
+  const BuildSystem a(&first, &cache);
+  const BuildSystem b(&second, &cache);
+  (void)a.compile_all(o1_plain());
+  EXPECT_THROW((void)b.compile_all(o1_plain()), std::logic_error);
+  EXPECT_THROW((void)b.compile("w/f0.cpp", o1_plain()), std::logic_error);
+  EXPECT_EQ(cache.stats().lookups(), first.files().size());
+
+  // clear() makes a fresh cache, free to bind again.
+  cache.clear();
+  EXPECT_EQ(b.compile_all(o1_plain()).size(), second.files().size());
+  EXPECT_THROW((void)a.compile_all(o1_plain()), std::logic_error);
+}
+
+TEST(CompilationCache, UnknownFileIsRejectedBeforeTheCache) {
+  CodeModel m = make_model();
+  CompilationCache cache;
+  const BuildSystem build(&m, &cache);
+  EXPECT_THROW((void)build.compile("cc/none.cpp", o1_plain()),
+               std::invalid_argument);
+  EXPECT_EQ(cache.stats().lookups(), 0u);
 }
 
 }  // namespace
